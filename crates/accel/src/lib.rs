@@ -56,4 +56,4 @@ pub use fabric::{
 };
 pub use pe::{Pe, PeCycleBreakdown};
 pub use run_config::{CacheVariant, RunConfig};
-pub use system::{MetricsSnapshot, PeStallBreakdown, RunError, RunResult, System};
+pub use system::{MetricsSnapshot, PeStallBreakdown, RunError, RunResult, System, WorkCounters};

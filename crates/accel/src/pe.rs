@@ -387,6 +387,12 @@ impl Pe {
         self.dram_out.pop_front()
     }
 
+    /// `true` when DMA bursts wait to be popped.
+    #[inline]
+    pub fn has_dram_requests(&self) -> bool {
+        !self.dram_out.is_empty()
+    }
+
     /// Counters: `edges_processed`, `raw_stalls`, `moms_backpressure`,
     /// `id_starved`, `local_reads`, `moms_reads`, `jobs`, `busy_cycles`.
     ///
@@ -509,9 +515,11 @@ impl Pe {
                 {
                     return Some(now + 1);
                 }
-                // issue_dma may start another edge burst.
+                // issue_dma may start another edge burst, or a burst that
+                // decoded no edges left the phase ready to end.
                 if self.shard_cursor < self.shards.len()
                     && self.edge_bursts_outstanding < self.cfg.edge_tags
+                    || self.streaming_done()
                 {
                     return Some(now + 1);
                 }
@@ -535,6 +543,7 @@ impl Pe {
     /// the PE is inert (see [`next_event`](Self::next_event)): the charged
     /// class is a pure function of the frozen state, exactly as in
     /// [`tick`](Self::tick).
+    #[inline]
     pub fn credit_inert_cycles(&mut self, gap: u64) {
         if gap == 0 {
             return;
@@ -680,12 +689,17 @@ impl Pe {
 
     /// Issues phase-appropriate DMA bursts.
     fn issue_dma(&mut self, now: Cycle) {
+        match self.phase {
+            Phase::Idle | Phase::Apply => return,
+            Phase::Stream => return self.issue_edge_bursts(),
+            // Init, pointer fetch, and write-back keep one ordered burst
+            // in flight at a time.
+            _ if self.ordered_burst_outstanding => return,
+            _ => {}
+        }
         let Some(job) = self.job.clone() else { return };
         match self.phase {
             Phase::Init => {
-                if self.ordered_burst_outstanding {
-                    return;
-                }
                 if let Some((start, len)) = self.init_vin_pending {
                     // Matching V_const burst for the chunk in flight.
                     let base = job.vconst_base.expect("pending implies const");
@@ -722,10 +736,7 @@ impl Pe {
             }
             Phase::FetchPtrs => {
                 // The pointer burst is in flight until parse_pointers
-                // switches the phase, so the guard below fires only once.
-                if self.ordered_burst_outstanding {
-                    return;
-                }
+                // switches the phase, so this runs once per job.
                 let bytes = job.qs as u64 * 8;
                 let start = job.ptr_base / 64 * 64;
                 let end = (job.ptr_base + bytes).div_ceil(64) * 64;
@@ -744,49 +755,7 @@ impl Pe {
                 });
                 self.ordered_burst_outstanding = true;
             }
-            Phase::Stream => {
-                while self.edge_bursts_outstanding < self.cfg.edge_tags
-                    && self.shard_cursor < self.shards.len()
-                {
-                    let info = self.shards[self.shard_cursor];
-                    let wpe = self.words_per_edge();
-                    let shard_bytes = (info.edges + 1) * wpe * 4;
-                    let shard_end = info.base_addr + shard_bytes;
-                    if self.shard_addr_cursor >= shard_end {
-                        self.shard_cursor += 1;
-                        if self.shard_cursor < self.shards.len() {
-                            self.shard_addr_cursor = self.shards[self.shard_cursor].base_addr;
-                        }
-                        continue;
-                    }
-                    let remaining_lines = (shard_end - self.shard_addr_cursor).div_ceil(64) as u32;
-                    let lines = remaining_lines.min(self.cfg.max_burst_lines);
-                    // Edge-queue credit (in words) for the whole burst.
-                    let need = lines as usize * 16;
-                    let used = self.edge_q_words + self.edge_q_reserved;
-                    if used + need > self.cfg.edge_queue_words {
-                        break;
-                    }
-                    self.edge_q_reserved += need;
-                    let tag = self.alloc_tag(Burst::Edges {
-                        shard: self.shard_cursor,
-                        addr: self.shard_addr_cursor,
-                        lines,
-                    });
-                    self.dram_out.push_back(PeDramReq {
-                        tag,
-                        addr: self.shard_addr_cursor,
-                        lines,
-                        write: false,
-                    });
-                    self.shard_addr_cursor += lines as u64 * 64;
-                    self.edge_bursts_outstanding += 1;
-                }
-            }
             Phase::Writeback => {
-                if self.ordered_burst_outstanding {
-                    return;
-                }
                 if self.wb_cursor < job.d_len {
                     let chunk =
                         (self.cfg.max_burst_lines * 16 - 16).min(job.d_len - self.wb_cursor);
@@ -813,7 +782,48 @@ impl Pe {
                     self.phase = Phase::Idle;
                 }
             }
-            Phase::Idle | Phase::Apply => {}
+            Phase::Idle | Phase::Apply | Phase::Stream => {}
+        }
+    }
+
+    /// Starts edge bursts while tags and edge-queue credit allow.
+    fn issue_edge_bursts(&mut self) {
+        while self.edge_bursts_outstanding < self.cfg.edge_tags
+            && self.shard_cursor < self.shards.len()
+        {
+            let info = self.shards[self.shard_cursor];
+            let wpe = self.words_per_edge();
+            let shard_bytes = (info.edges + 1) * wpe * 4;
+            let shard_end = info.base_addr + shard_bytes;
+            if self.shard_addr_cursor >= shard_end {
+                self.shard_cursor += 1;
+                if self.shard_cursor < self.shards.len() {
+                    self.shard_addr_cursor = self.shards[self.shard_cursor].base_addr;
+                }
+                continue;
+            }
+            let remaining_lines = (shard_end - self.shard_addr_cursor).div_ceil(64) as u32;
+            let lines = remaining_lines.min(self.cfg.max_burst_lines);
+            // Edge-queue credit (in words) for the whole burst.
+            let need = lines as usize * 16;
+            let used = self.edge_q_words + self.edge_q_reserved;
+            if used + need > self.cfg.edge_queue_words {
+                break;
+            }
+            self.edge_q_reserved += need;
+            let tag = self.alloc_tag(Burst::Edges {
+                shard: self.shard_cursor,
+                addr: self.shard_addr_cursor,
+                lines,
+            });
+            self.dram_out.push_back(PeDramReq {
+                tag,
+                addr: self.shard_addr_cursor,
+                lines,
+                write: false,
+            });
+            self.shard_addr_cursor += lines as u64 * 64;
+            self.edge_bursts_outstanding += 1;
         }
     }
 
@@ -869,8 +879,20 @@ impl Pe {
         moms: &mut MomsSystem,
         pe_idx: usize,
     ) {
-        let job = self.job.clone().expect("job in flight");
-        let latency = job.algo.gather_latency();
+        // The few job fields the stream needs, copied out rather than
+        // cloning the whole job every cycle.
+        let (algo, weighted, vin_base, d_base, d_len, use_local_src) = {
+            let j = self.job.as_ref().expect("job in flight");
+            (
+                j.algo,
+                j.weighted,
+                j.vin_base,
+                j.d_base,
+                j.d_len,
+                j.use_local_src,
+            )
+        };
+        let latency = algo.gather_latency();
         // Cycle-attribution observations (read at the bottom; exactly one
         // breakdown class is charged per stream cycle).
         let mut progressed = false;
@@ -884,7 +906,7 @@ impl Pe {
                 self.pipe.pop_front();
                 // Release the RAW hazard slot taken at issue.
                 self.inflight_dst[g.dst_off as usize] -= 1;
-                self.apply_gather_direct(&job, g);
+                self.apply_gather_direct(algo, g);
                 self.tracer
                     .event(now, EventKind::PeRetire, g.dst_off as u64);
                 progressed = true;
@@ -923,7 +945,7 @@ impl Pe {
             self.tracer.event(now, EventKind::PeIssue, g.dst_off as u64);
             progressed = true;
             if latency == 0 {
-                self.apply_gather_direct(&job, g);
+                self.apply_gather_direct(algo, g);
             } else {
                 self.inflight_dst[g.dst_off as usize] += 1;
                 self.pipe.push_back((now + latency, g));
@@ -934,7 +956,7 @@ impl Pe {
         if let Some(resp) = moms.pop_response(pe_idx) {
             progressed = true;
             let src_val = img.read_u32(resp.line * 64 + resp.word as u64 * 4);
-            let (dst_off, w) = if job.weighted {
+            let (dst_off, w) = if weighted {
                 let (d, w) = self.state_mem[resp.id as usize];
                 self.free_ids.push_back(resp.id as u16);
                 (d, w)
@@ -951,13 +973,11 @@ impl Pe {
 
         // 4. Consume one edge from the edge queue.
         if let Some(&e) = self.edge_q.front() {
-            let local = job.use_local_src && e.src >= job.d_base && e.src < job.d_base + job.d_len;
+            let local = use_local_src && e.src >= d_base && e.src < d_base + d_len;
             let wpe = self.words_per_edge() as usize;
             if local {
                 if self.local_q.len() < 16 {
-                    let src_val = job
-                        .algo
-                        .local_src_value(self.bram[(e.src - job.d_base) as usize]);
+                    let src_val = algo.local_src_value(self.bram[(e.src - d_base) as usize]);
                     self.local_q.push_back(GatherIn {
                         dst_off: e.dst_off,
                         src_val,
@@ -969,7 +989,7 @@ impl Pe {
                     progressed = true;
                 }
             } else {
-                let id = if job.weighted {
+                let id = if weighted {
                     match self.free_ids.front() {
                         Some(&id) => Some(id),
                         None => {
@@ -984,14 +1004,14 @@ impl Pe {
                     Some(e.dst_off)
                 };
                 if let Some(id) = id {
-                    let addr = job.vin_base + e.src as u64 * 4;
+                    let addr = vin_base + e.src as u64 * 4;
                     let req = MomsReq {
                         line: addr / 64,
                         word: ((addr % 64) / 4) as u8,
                         id: id as u32,
                     };
                     if moms.try_request(pe_idx, req) {
-                        if job.weighted {
+                        if weighted {
                             self.free_ids.pop_front();
                             self.state_mem[id as usize] = (e.dst_off, e.w);
                         }
@@ -1030,25 +1050,29 @@ impl Pe {
         }
 
         // 5. Transition out when everything drained.
-        let streaming_done = self.shard_cursor >= self.shards.len()
+        if self.streaming_done() {
+            self.phase = Phase::Apply;
+        }
+    }
+
+    /// `true` when every shard is streamed and every edge gathered.
+    fn streaming_done(&self) -> bool {
+        self.shard_cursor >= self.shards.len()
             && self.edge_bursts_outstanding == 0
             && self.edge_q.is_empty()
             && self.local_q.is_empty()
             && self.moms_gather_q.is_empty()
             && self.inflight_moms == 0
-            && self.pipe.is_empty();
-        if streaming_done {
-            self.phase = Phase::Apply;
-        }
+            && self.pipe.is_empty()
     }
 
     fn can_issue(&self, g: &GatherIn, latency: u64) -> bool {
         latency == 0 || self.inflight_dst[g.dst_off as usize] == 0
     }
 
-    fn apply_gather_direct(&mut self, job: &Job, g: GatherIn) {
+    fn apply_gather_direct(&mut self, algo: Algorithm, g: GatherIn) {
         let dst = g.dst_off as usize;
-        let out = job.algo.gather(g.src_val, self.bram[dst], g.w);
+        let out = algo.gather(g.src_val, self.bram[dst], g.w);
         self.bram[dst] = out.state;
         if out.updated {
             self.updated = true;

@@ -277,7 +277,7 @@ impl DramChannel {
     /// Panics when a transaction was lost or duplicated, or the in-order
     /// completion queue lost its monotonicity.
     #[cfg(feature = "invariants")]
-    fn check_invariants(&self) {
+    pub fn check_invariants(&self) {
         assert_eq!(
             self.ledger_pushed,
             self.ledger_popped + self.requests.len() as u64 + self.completions.len() as u64,
@@ -391,6 +391,14 @@ impl DramChannel {
             self.counters.read_txns += 1;
         }
         self.counters.bus_busy_cycles += transfer;
+    }
+
+    /// `true` when a [`tick`](Self::tick) would be a no-op: no request
+    /// is queued (completions mature on their own and are popped by the
+    /// caller). A pushed request wakes the channel.
+    #[inline]
+    pub fn is_quiet(&self) -> bool {
+        self.requests.is_empty()
     }
 
     /// `true` when no work is queued or in flight.

@@ -1,7 +1,7 @@
 //! Multi-channel memory system with address interleaving.
 
 use simkit::trace::{TraceConfig, TraceEvent, Tracer, Track};
-use simkit::{Cycle, Stats};
+use simkit::{Cycle, Stats, TickCount};
 
 use crate::channel::{DramChannel, DramChannelSnapshot, DramRequest, DramResponse};
 use crate::config::DramConfig;
@@ -23,6 +23,13 @@ pub const INTERLEAVE_BYTES: u64 = 2048;
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     channels: Vec<DramChannel>,
+    /// Skip the ticks of quiet channels (see
+    /// [`set_skip_quiet`](Self::set_skip_quiet)).
+    skip_quiet: bool,
+    /// Calls to [`tick`](Self::tick).
+    ticks: u64,
+    /// Channel ticks actually executed.
+    channel_ticks: u64,
 }
 
 impl MemorySystem {
@@ -37,7 +44,22 @@ impl MemorySystem {
             channels: (0..num_channels)
                 .map(|_| DramChannel::new(cfg.clone()))
                 .collect(),
+            skip_quiet: false,
+            ticks: 0,
+            channel_ticks: 0,
         }
+    }
+
+    /// When `on`, [`tick`](Self::tick) skips every channel whose tick
+    /// would be a no-op ([`DramChannel::is_quiet`]). Off by default: the
+    /// reference schedule ticks every channel every cycle.
+    pub fn set_skip_quiet(&mut self, on: bool) {
+        self.skip_quiet = on;
+    }
+
+    /// Channel ticks executed vs skipped since construction.
+    pub fn channel_work(&self) -> TickCount {
+        TickCount::of(self.channels.len(), self.ticks, self.channel_ticks)
     }
 
     /// Number of channels.
@@ -112,7 +134,14 @@ impl MemorySystem {
 
     /// Advances every channel one cycle.
     pub fn tick(&mut self, now: Cycle) {
+        self.ticks += 1;
         for ch in &mut self.channels {
+            if self.skip_quiet && ch.is_quiet() {
+                #[cfg(feature = "invariants")]
+                ch.check_invariants();
+                continue;
+            }
+            self.channel_ticks += 1;
             ch.tick(now);
         }
     }

@@ -286,6 +286,21 @@ impl MomsBank {
         next
     }
 
+    /// `true` when a [`tick`](Self::tick) would be a no-op: every queue
+    /// (input, output, memory request, memory response), the replay
+    /// queue, and the assembly buffer are empty. Live MSHRs may still
+    /// wait on memory; the bank wakes when a request or a memory
+    /// response is pushed into it.
+    #[inline]
+    pub fn is_quiet(&self) -> bool {
+        self.in_q.is_empty()
+            && self.out_q.is_empty()
+            && self.mem_req_q.is_empty()
+            && self.mem_resp_q.is_empty()
+            && self.replay.is_empty()
+            && self.assembly.is_empty()
+    }
+
     /// `true` when nothing is queued, pending, or replaying.
     pub fn is_idle(&self) -> bool {
         self.in_q.is_empty()
@@ -475,11 +490,21 @@ impl MomsBank {
     pub fn tick(&mut self, now: Cycle) {
         self.tick_inner(now);
         #[cfg(feature = "invariants")]
-        {
-            self.check_ledger();
-            if now & Self::STRUCT_CHECK_MASK == 0 {
-                self.check_structures();
-            }
+        self.check_invariants(now);
+    }
+
+    /// The per-tick invariant checks, for callers that skip the tick of
+    /// a [quiet](Self::is_quiet) bank: the ledger every cycle, the
+    /// structural walks every `STRUCT_CHECK_MASK + 1` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an invariant is violated.
+    #[cfg(feature = "invariants")]
+    pub fn check_invariants(&self, now: Cycle) {
+        self.check_ledger();
+        if now & Self::STRUCT_CHECK_MASK == 0 {
+            self.check_structures();
         }
     }
 

@@ -98,7 +98,7 @@ impl CacheArray {
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line % self.sets as u64) as usize
+        simkit::fast_mod(line, self.sets as u64) as usize
     }
 
     /// Looks up `line`; updates LRU and hit/miss counters. `now` orders

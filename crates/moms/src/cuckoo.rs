@@ -119,7 +119,7 @@ fn hash_slot(way: usize, line: u64, slots_per_way: usize) -> usize {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    way * slots_per_way + (z % slots_per_way as u64) as usize
+    way * slots_per_way + simkit::fast_mod(z, slots_per_way as u64) as usize
 }
 
 impl CuckooMshr {

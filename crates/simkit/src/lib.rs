@@ -12,7 +12,11 @@
 //!   pipelines where only the latency (not per-stage occupancy) matters.
 //! * [`SplitMix64`] — a tiny, fully deterministic RNG so that workloads and
 //!   synthetic graphs are reproducible across platforms.
-//! * [`Stats`] — a name→counter registry for throughput/occupancy metrics.
+//! * [`Stats`] — a name→counter registry for throughput/occupancy metrics,
+//!   and [`TickCount`], the executed-vs-skipped work counter of one
+//!   component class.
+//! * [`BitSet`] — dense sets of component indices that let tick loops
+//!   visit only the components with work, in index order.
 //! * [`record`] — a dependency-free [`Record`]/[`Value`] model with JSON
 //!   and CSV writers, used by the experiment harness to export results.
 //! * [`Watchdog`] — no-forward-progress detection that turns silent
@@ -42,6 +46,7 @@
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
+pub mod bitset;
 pub mod delay;
 pub mod epoch;
 pub mod fault;
@@ -54,13 +59,14 @@ pub mod stats;
 pub mod trace;
 pub mod watchdog;
 
+pub use bitset::BitSet;
 pub use delay::DelayLine;
 pub use fault::{FaultConfig, FaultInjector, FaultProfile};
 pub use fifo::{Fifo, PushError};
 pub use handshake::CrossingLink;
 pub use record::{LatencyHistogram, Record, Value};
 pub use rng::SplitMix64;
-pub use stats::Stats;
+pub use stats::{Stats, TickCount};
 pub use trace::{
     EventKind, TraceConfig, TraceEvent, TraceLevel, TraceReport, Tracer, Track, TrackKind,
 };
@@ -68,3 +74,15 @@ pub use watchdog::{DiagnosticSection, DiagnosticSnapshot, Watchdog};
 
 /// Simulation time, in clock cycles of the modelled design.
 pub type Cycle = u64;
+
+/// `x % n`, masking instead of dividing when `n` is a power of two: hashed
+/// table indices sit on the hot path, and most table sizes are powers of
+/// two. `n` must be nonzero.
+#[inline]
+pub fn fast_mod(x: u64, n: u64) -> u64 {
+    if n.is_power_of_two() {
+        x & (n - 1)
+    } else {
+        x % n
+    }
+}

@@ -227,6 +227,49 @@ impl Histogram {
     }
 }
 
+/// Component ticks of one class over a run: how many the tick loop
+/// executed and how many it skipped because the component was provably
+/// inert. A deterministic work counter: it depends on the simulated
+/// schedule only, never on the host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickCount {
+    /// Ticks that ran the component's tick function.
+    pub executed: u64,
+    /// Ticks skipped as no-ops.
+    pub skipped: u64,
+}
+
+impl TickCount {
+    /// Counts for `components` components over `loop_ticks` loop
+    /// iterations, of which `executed` component ticks actually ran.
+    pub fn of(components: usize, loop_ticks: u64, executed: u64) -> Self {
+        TickCount {
+            executed,
+            skipped: components as u64 * loop_ticks - executed,
+        }
+    }
+
+    /// Executed plus skipped.
+    pub fn total(&self) -> u64 {
+        self.executed + self.skipped
+    }
+
+    /// Fraction of ticks skipped (0 when there were none).
+    pub fn skipped_share(&self) -> f64 {
+        if self.total() == 0 {
+            0.0
+        } else {
+            self.skipped as f64 / self.total() as f64
+        }
+    }
+
+    /// Adds `other` into `self`.
+    pub fn accumulate(&mut self, other: &TickCount) {
+        self.executed += other.executed;
+        self.skipped += other.skipped;
+    }
+}
+
 /// Time-bucketed aggregation of a sampled quantity: for each window of
 /// `bucket_cycles` simulated cycles, the count, sum, and maximum of the
 /// samples that fell inside it. Backs the exported occupancy series.
