@@ -5,7 +5,8 @@
 //! [`accel::PeCycleBreakdown`] classes (exactly one per PE-cycle, so the
 //! table always accounts for 100% of them) plus the MOMS-side pressure
 //! split (MSHR-full vs subentry-full vs memory-queue-full refusals) that
-//! explains *why* the PEs saw backpressure.
+//! explains *why* the PEs saw backpressure, and the share of each
+//! component class's ticks the loop skipped as provably inert.
 //!
 //! Points flow through the standard runner funnel, so `--fault-profile`,
 //! `--watchdog-cycles`, and `--trace` all apply: `repro explain --trace
@@ -13,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use accel::{Fabric, MetricsSnapshot, PeCycleBreakdown};
+use accel::{Fabric, MetricsSnapshot, PeCycleBreakdown, WorkCounters};
 use algos::Algorithm;
 
 use crate::arch::ArchPoint;
@@ -39,6 +40,16 @@ fn render_breakdown(out: &mut String, b: &PeCycleBreakdown) {
     }
 }
 
+/// Renders the skipped share of component ticks per class.
+fn render_work(out: &mut String, w: &WorkCounters) {
+    let shares: Vec<String> = w
+        .rows()
+        .iter()
+        .map(|(class, t)| format!("{class} {:.1}%", 100.0 * t.skipped_share()))
+        .collect();
+    let _ = writeln!(out, "  ticks skipped as inert: {}", shares.join(", "));
+}
+
 /// Renders the attribution table for one finished run.
 fn render_one(out: &mut String, label: &str, cycles: u64, m: &MetricsSnapshot) {
     let b: PeCycleBreakdown = m.pe_cycles;
@@ -59,6 +70,7 @@ fn render_one(out: &mut String, label: &str, cycles: u64, m: &MetricsSnapshot) {
     }
     let accounted = 100.0 * b.total() as f64 / b.total().max(1) as f64;
     let _ = writeln!(out, "  accounted: {accounted:.1}% of PE cycles");
+    render_work(out, &m.work);
 }
 
 /// Runs the quick matrix and renders per-run stall attribution.
@@ -126,6 +138,7 @@ fn render_fabric(out: &mut String, scope: Scope, arch: ArchPoint) {
         r.pe_cycles.total()
     );
     render_breakdown(out, &r.pe_cycles);
+    render_work(out, &r.work);
     let _ = writeln!(
         out,
         "  link: {} exchange cycles, occupancy mean {:.1}% peak {:.1}%, \
@@ -231,6 +244,10 @@ mod tests {
             "attribution must be exhaustive:\n{report}"
         );
         assert!(report.contains("stream/productive"), "{report}");
+        assert!(
+            report.contains("ticks skipped as inert: pe "),
+            "every run must report its skipped tick shares:\n{report}"
+        );
     }
 
     #[test]
