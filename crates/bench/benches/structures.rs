@@ -1,6 +1,8 @@
 //! Microbenchmarks of the MOMS core data structures: cuckoo MSHR table
 //! and subentry buffer — the per-cycle-critical paths of the bank.
 
+use std::collections::VecDeque;
+
 use bench::microbench::Group;
 
 use moms::cuckoo::{CuckooMshr, InsertOutcome, MshrEntry};
@@ -55,8 +57,13 @@ fn bench_subentries() {
 
     group.bench(
         "append_drain_chained",
-        || SubentryBuffer::new(16_384, 4, true),
-        |mut buf| {
+        || {
+            (
+                SubentryBuffer::new(16_384, 4, true),
+                VecDeque::with_capacity(n as usize),
+            )
+        },
+        |(mut buf, mut replay)| {
             let head = buf.alloc_row().expect("space");
             let mut tail = head;
             for i in 0..n {
@@ -70,7 +77,7 @@ fn bench_subentries() {
                     )
                     .expect("space");
             }
-            std::hint::black_box(buf.take_chain(head).len())
+            std::hint::black_box(buf.drain_chain_into(head, 0, &mut replay))
         },
     );
 }
