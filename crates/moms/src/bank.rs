@@ -625,7 +625,8 @@ impl MomsBank {
         }
 
         // 3b. Secondary miss: append to the existing MSHR's chain.
-        if let Some(entry) = self.mshr.lookup_mut(req.line) {
+        if let Some(slot) = self.mshr.find(req.line) {
+            let entry = self.mshr.at_mut(slot);
             let tail = entry.tail_row;
             let sub = Subentry {
                 id: req.id,
@@ -634,7 +635,6 @@ impl MomsBank {
             match self.subs.append(tail, sub) {
                 Ok(new_tail) => {
                     let chained = new_tail != tail;
-                    let entry = self.mshr.lookup_mut(req.line).expect("entry still present");
                     entry.tail_row = new_tail;
                     entry.pending += 1;
                     self.in_q.pop();

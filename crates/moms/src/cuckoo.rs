@@ -170,33 +170,32 @@ impl CuckooMshr {
         hash_slot(way, line, self.slots_per_way)
     }
 
-    /// Finds the entry for `line`, if present.
-    pub fn lookup(&self, line: u64) -> Option<&MshrEntry> {
+    /// Slot index holding the entry for `line`, if present. Pair with
+    /// [`at_mut`](Self::at_mut) to update an entry after a single probe.
+    pub fn find(&self, line: u64) -> Option<usize> {
         if self.ways == 0 {
-            return self.slots.iter().flatten().find(|e| e.line == line);
+            return self
+                .slots
+                .iter()
+                .position(|s| matches!(s, Some(e) if e.line == line));
         }
-        for w in 0..self.ways {
-            if let Some(e) = &self.slots[self.hash(w, line)] {
-                if e.line == line {
-                    return Some(e);
-                }
-            }
-        }
-        None
+        (0..self.ways)
+            .map(|w| self.hash(w, line))
+            .find(|&idx| matches!(&self.slots[idx], Some(e) if e.line == line))
     }
 
-    /// Mutable lookup.
-    pub fn lookup_mut(&mut self, line: u64) -> Option<&mut MshrEntry> {
-        if self.ways == 0 {
-            return self.slots.iter_mut().flatten().find(|e| e.line == line);
-        }
-        for w in 0..self.ways {
-            let idx = self.hash(w, line);
-            if matches!(&self.slots[idx], Some(e) if e.line == line) {
-                return self.slots[idx].as_mut();
-            }
-        }
-        None
+    /// Finds the entry for `line`, if present.
+    pub fn lookup(&self, line: u64) -> Option<&MshrEntry> {
+        self.find(line).and_then(|idx| self.slots[idx].as_ref())
+    }
+
+    /// The entry in `slot`, as returned by [`find`](Self::find).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is empty.
+    pub fn at_mut(&mut self, slot: usize) -> &mut MshrEntry {
+        self.slots[slot].as_mut().expect("occupied MSHR slot")
     }
 
     /// Inserts a fresh entry.
@@ -208,8 +207,8 @@ impl CuckooMshr {
     /// # Panics
     ///
     /// Panics (debug) if an entry for the same line already exists —
-    /// callers must use [`lookup_mut`](Self::lookup_mut) for secondary
-    /// misses.
+    /// callers must update the existing entry (see [`find`](Self::find))
+    /// for secondary misses.
     pub fn insert(&mut self, entry: MshrEntry) -> InsertOutcome {
         debug_assert!(self.lookup(entry.line).is_none(), "duplicate MSHR");
         if self.ways == 0 {
@@ -378,11 +377,15 @@ mod tests {
     }
 
     #[test]
-    fn lookup_mut_updates_entry() {
-        let mut t = CuckooMshr::new(16, 4, 4);
-        t.insert(entry(7));
-        t.lookup_mut(7).unwrap().pending = 42;
-        assert_eq!(t.lookup(7).unwrap().pending, 42);
+    fn find_then_at_mut_updates_entry() {
+        for ways in [4, 0] {
+            let mut t = CuckooMshr::new(16, ways, 4);
+            t.insert(entry(7));
+            assert_eq!(t.find(8), None);
+            let slot = t.find(7).unwrap();
+            t.at_mut(slot).pending = 42;
+            assert_eq!(t.lookup(7).unwrap().pending, 42);
+        }
     }
 
     #[test]
