@@ -58,7 +58,10 @@ impl PeConfig {
         assert!(self.edge_queue_words >= 64, "edge queue too small");
         assert!(self.edge_tags > 0, "at least one edge burst tag");
         assert!(self.init_rate > 0 && self.writeback_rate > 0);
-        assert!(self.id_slots > 0, "weighted interface needs IDs");
+        assert!(
+            (1..=1 << 16).contains(&self.id_slots),
+            "weighted interface needs 1..=65536 16-bit IDs"
+        );
         assert!(
             (1..=32).contains(&self.max_burst_lines),
             "bursts are 1..=32 beats"

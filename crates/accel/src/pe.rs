@@ -254,8 +254,12 @@ pub struct Pe {
     edge_q_words: usize,
     edge_q_reserved: usize,
 
-    // MOMS interface
-    free_ids: VecDeque<u16>,
+    // MOMS interface. The weighted-graph free-ID FIFO holds only
+    // recycled IDs: IDs at or above `next_fresh_id` were never handed out
+    // and are served first, in order. State memory is built by the first
+    // weighted job.
+    next_fresh_id: usize,
+    recycled_ids: VecDeque<u16>,
     state_mem: Vec<(u16, u32)>,
     inflight_moms: usize,
     moms_gather_q: VecDeque<GatherIn>,
@@ -304,8 +308,9 @@ impl Pe {
         Pe {
             bram: vec![[0, 0]; cfg.bram_nodes as usize],
             inflight_dst: vec![0; cfg.bram_nodes as usize],
-            free_ids: (0..cfg.id_slots as u16).collect(),
-            state_mem: vec![(0, 0); cfg.id_slots],
+            next_fresh_id: 0,
+            recycled_ids: VecDeque::new(),
+            state_mem: Vec::new(),
             dram_out: VecDeque::new(),
             outstanding: HashMap::new(),
             next_tag: 0,
@@ -370,8 +375,10 @@ impl Pe {
         self.wb_cursor = 0;
         self.updated = false;
         self.edges_done = 0;
-        for c in self.inflight_dst.iter_mut() {
-            *c = 0;
+        // The job indexes only its own interval's RAW slots.
+        self.inflight_dst[..job.d_len as usize].fill(0);
+        if job.weighted && self.state_mem.is_empty() {
+            self.state_mem = vec![(0, 0); self.cfg.id_slots];
         }
         self.job = Some(job);
         self.stats.inc("jobs");
@@ -472,7 +479,7 @@ impl Pe {
             self.moms_gather_q.len(),
             self.local_q.len(),
             self.pipe.len(),
-            self.free_ids.len(),
+            self.cfg.id_slots - self.next_fresh_id + self.recycled_ids.len(),
             self.cfg.id_slots,
         )
     }
@@ -697,13 +704,15 @@ impl Pe {
             _ if self.ordered_burst_outstanding => return,
             _ => {}
         }
-        let Some(job) = self.job.clone() else { return };
+        let Some(j) = &self.job else { return };
+        let (d_base, d_len) = (j.d_base, j.d_len);
         match self.phase {
             Phase::Init => {
+                let (vin_base, vconst_base) = (j.vin_base, j.vconst_base);
                 if let Some((start, len)) = self.init_vin_pending {
                     // Matching V_const burst for the chunk in flight.
-                    let base = job.vconst_base.expect("pending implies const");
-                    let (addr, lines) = span_lines(base, job.d_base + start, len);
+                    let base = vconst_base.expect("pending implies const");
+                    let (addr, lines) = span_lines(base, d_base + start, len);
                     let tag = self.alloc_tag(Burst::InitConst { len });
                     self.dram_out.push_back(PeDramReq {
                         tag,
@@ -714,12 +723,12 @@ impl Pe {
                     self.ordered_burst_outstanding = true;
                     return;
                 }
-                if self.init_req_cursor < job.d_len {
+                if self.init_req_cursor < d_len {
                     // Keep one line of slack so misaligned spans stay ≤32.
                     let chunk_nodes =
-                        (self.cfg.max_burst_lines * 16 - 16).min(job.d_len - self.init_req_cursor);
+                        (self.cfg.max_burst_lines * 16 - 16).min(d_len - self.init_req_cursor);
                     let start = self.init_req_cursor;
-                    let (addr, lines) = span_lines(job.vin_base, job.d_base + start, chunk_nodes);
+                    let (addr, lines) = span_lines(vin_base, d_base + start, chunk_nodes);
                     let tag = self.alloc_tag(Burst::InitVin {
                         start,
                         len: chunk_nodes,
@@ -737,14 +746,13 @@ impl Pe {
             Phase::FetchPtrs => {
                 // The pointer burst is in flight until parse_pointers
                 // switches the phase, so this runs once per job.
-                let bytes = job.qs as u64 * 8;
-                let start = job.ptr_base / 64 * 64;
-                let end = (job.ptr_base + bytes).div_ceil(64) * 64;
+                let (qs, ptr_base) = (j.qs, j.ptr_base);
+                let start = ptr_base / 64 * 64;
+                let end = (ptr_base + qs as u64 * 8).div_ceil(64) * 64;
                 let total_lines = ((end - start) / 64) as u32;
                 assert!(
                     total_lines <= self.cfg.max_burst_lines,
-                    "Qs = {} exceeds one pointer burst; use larger Ns",
-                    job.qs
+                    "Qs = {qs} exceeds one pointer burst; use larger Ns"
                 );
                 let tag = self.alloc_tag(Burst::Ptrs);
                 self.dram_out.push_back(PeDramReq {
@@ -756,11 +764,10 @@ impl Pe {
                 self.ordered_burst_outstanding = true;
             }
             Phase::Writeback => {
-                if self.wb_cursor < job.d_len {
-                    let chunk =
-                        (self.cfg.max_burst_lines * 16 - 16).min(job.d_len - self.wb_cursor);
-                    let (addr, lines) =
-                        span_lines(job.vout_base, job.d_base + self.wb_cursor, chunk);
+                let vout_base = j.vout_base;
+                if self.wb_cursor < d_len {
+                    let chunk = (self.cfg.max_burst_lines * 16 - 16).min(d_len - self.wb_cursor);
+                    let (addr, lines) = span_lines(vout_base, d_base + self.wb_cursor, chunk);
                     let tag = self.alloc_tag(Burst::Write);
                     self.dram_out.push_back(PeDramReq {
                         tag,
@@ -854,20 +861,20 @@ impl Pe {
     }
 
     fn tick_init(&mut self, img: &MemImage) {
-        let Some(job) = self.job.clone() else { return };
+        let Some(j) = &self.job else { return };
+        let (algo, d_base, d_len, vin_base, vconst_base) =
+            (j.algo, j.d_base, j.d_len, j.vin_base, j.vconst_base);
         let mut budget = self.cfg.init_rate;
         while budget > 0 && self.init_done_cursor < self.init_avail {
             let i = self.init_done_cursor;
-            let node = job.d_base + i;
-            let vin = img.read_u32(job.vin_base + node as u64 * 4);
-            let vc = job
-                .vconst_base
-                .map_or(0, |b| img.read_u32(b + node as u64 * 4));
-            self.bram[i as usize] = job.algo.init(vc, vin);
+            let node = d_base + i;
+            let vin = img.read_u32(vin_base + node as u64 * 4);
+            let vc = vconst_base.map_or(0, |b| img.read_u32(b + node as u64 * 4));
+            self.bram[i as usize] = algo.init(vc, vin);
             self.init_done_cursor += 1;
             budget -= 1;
         }
-        if self.init_done_cursor == job.d_len {
+        if self.init_done_cursor == d_len {
             self.phase = Phase::FetchPtrs;
         }
     }
@@ -958,7 +965,7 @@ impl Pe {
             let src_val = img.read_u32(resp.line * 64 + resp.word as u64 * 4);
             let (dst_off, w) = if weighted {
                 let (d, w) = self.state_mem[resp.id as usize];
-                self.free_ids.push_back(resp.id as u16);
+                self.recycled_ids.push_back(resp.id as u16);
                 (d, w)
             } else {
                 (resp.id as u16, 1)
@@ -990,8 +997,8 @@ impl Pe {
                 }
             } else {
                 let id = if weighted {
-                    match self.free_ids.front() {
-                        Some(&id) => Some(id),
+                    match self.peek_free_id() {
+                        Some(id) => Some(id),
                         None => {
                             self.counters.id_starved += 1;
                             starved = true;
@@ -1012,7 +1019,7 @@ impl Pe {
                     };
                     if moms.try_request(pe_idx, req) {
                         if weighted {
-                            self.free_ids.pop_front();
+                            self.take_free_id();
                             self.state_mem[id as usize] = (e.dst_off, e.w);
                         }
                         self.inflight_moms += 1;
@@ -1055,6 +1062,26 @@ impl Pe {
         }
     }
 
+    /// The ID the next weighted MOMS request would use: never-used IDs in
+    /// order, then recycled ones in return order — the same sequence as a
+    /// FIFO pre-filled with `0..id_slots`.
+    fn peek_free_id(&self) -> Option<u16> {
+        if self.next_fresh_id < self.cfg.id_slots {
+            Some(self.next_fresh_id as u16)
+        } else {
+            self.recycled_ids.front().copied()
+        }
+    }
+
+    /// Consumes the ID returned by [`peek_free_id`](Self::peek_free_id).
+    fn take_free_id(&mut self) {
+        if self.next_fresh_id < self.cfg.id_slots {
+            self.next_fresh_id += 1;
+        } else {
+            self.recycled_ids.pop_front();
+        }
+    }
+
     /// `true` when every shard is streamed and every edge gathered.
     fn streaming_done(&self) -> bool {
         self.shard_cursor >= self.shards.len()
@@ -1082,16 +1109,18 @@ impl Pe {
     }
 
     fn tick_apply(&mut self, img: &mut MemImage) {
-        let Some(job) = self.job.clone() else { return };
+        let Some(j) = &self.job else { return };
+        let (algo, num_nodes, d_base, d_len, vout_base) =
+            (j.algo, j.num_nodes, j.d_base, j.d_len, j.vout_base);
         let mut budget = self.cfg.writeback_rate;
-        while budget > 0 && self.apply_cursor < job.d_len {
+        while budget > 0 && self.apply_cursor < d_len {
             let i = self.apply_cursor;
-            let v = job.algo.apply(job.num_nodes, self.bram[i as usize]);
-            img.write_u32(job.vout_base + (job.d_base + i) as u64 * 4, v);
+            let v = algo.apply(num_nodes, self.bram[i as usize]);
+            img.write_u32(vout_base + (d_base + i) as u64 * 4, v);
             self.apply_cursor += 1;
             budget -= 1;
         }
-        if self.apply_cursor == job.d_len {
+        if self.apply_cursor == d_len {
             self.phase = Phase::Writeback;
             self.wb_cursor = 0;
         }
@@ -1160,6 +1189,28 @@ mod tests {
             pe.start_job(job);
         }));
         assert!(res.is_err(), "oversized interval must be rejected");
+    }
+
+    #[test]
+    fn free_ids_follow_a_prefilled_fifo() {
+        let mut pe = Pe::new(PeConfig {
+            id_slots: 8,
+            ..PeConfig::default()
+        });
+        let mut fifo: VecDeque<u16> = (0..8).collect();
+        let mut held = Vec::new();
+        let mut rng = simkit::SplitMix64::new(3);
+        for _ in 0..500 {
+            assert_eq!(pe.peek_free_id(), fifo.front().copied());
+            if !held.is_empty() && (fifo.is_empty() || rng.chance(0.5)) {
+                let id = held.swap_remove(rng.next_below(held.len() as u64) as usize);
+                pe.recycled_ids.push_back(id);
+                fifo.push_back(id);
+            } else if let Some(id) = fifo.pop_front() {
+                pe.take_free_id();
+                held.push(id);
+            }
+        }
     }
 
     #[test]
